@@ -63,7 +63,7 @@ pub fn pred_kernels() -> Vec<(&'static KernelShape, usize)> {
 /// measurements in `bench_vm`. Sizes are moderate on purpose: both
 /// the fissioned and the fully sequential leg hoist and exactly
 /// evaluate an indirect-access USR whose evaluation cost grows
-/// superlinearly with the array size, and the comparison needs
+/// with the array size, and the comparison needs
 /// several samples per leg. Kernels without a fission plan (solvh's
 /// cascade rescues the whole loop before distribution is considered)
 /// are listed so the bench keeps probing them and reports the moment

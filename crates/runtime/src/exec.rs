@@ -21,8 +21,8 @@ use lip_ir::{
     AccessTracer, ArrayBuf, ArrayView, BinOp, ExecState, Machine, RunError, Stmt, Store, StoreCtx,
     Ty, Value,
 };
-use lip_obs::{FissionReport, FragmentReport, LoopDecision, StageReport};
-use lip_symbolic::Sym;
+use lip_obs::{FissionReport, FragmentReport, LoopDecision, Obs, StageReport};
+use lip_symbolic::{EvalCtx, Sym};
 use std::sync::Mutex;
 
 use crate::backend::{exec_stmt_seq, machine_tracer, CompiledBody, ExecEnv};
@@ -98,6 +98,28 @@ struct DecisionTrace {
     stages: Vec<StageReport>,
     exact_test: Option<bool>,
     fragments: Vec<FragmentReport>,
+}
+
+/// Element budget of the exact independence test: an evaluation that
+/// would accumulate more locations gives up, and the loop falls back to
+/// speculation.
+pub const EXACT_TEST_LIMIT: usize = 100_000_000;
+
+/// The paper's last-resort runtime test (§5): evaluates the hoisted
+/// independence USR exactly against live state, under a
+/// `run.exact_test` span. `Some(true)`: the dependence set is empty;
+/// `Some(false)`: a genuine dependence; `None`: not evaluable (an
+/// unbound symbol, or more than [`EXACT_TEST_LIMIT`] locations).
+pub fn exact_test(obs: &Obs, usr: &lip_usr::Usr, ctx: &dyn EvalCtx) -> Option<bool> {
+    let span = obs.span("run.exact_test", String::new);
+    let verdict = lip_usr::eval::eval_empty(usr, ctx, EXACT_TEST_LIMIT);
+    let outcome = match verdict {
+        Some(true) => "independent",
+        Some(false) => "dependent",
+        None => "not evaluable",
+    };
+    obs.exit_span(span, outcome);
+    verdict
 }
 
 /// How the chosen execution path reads in a decision report.
@@ -269,7 +291,7 @@ fn run_loop_inner(
                     // A fragment already classified statically
                     // sequential carries a dependence the whole-loop
                     // exact test is all but guaranteed to rediscover
-                    // (at a cost superlinear in the array sizes), so
+                    // (at a cost linear in the locations it touches), so
                     // distribute right away: fragments that can be
                     // rescued run their own, smaller tests, and the
                     // sequential residue runs as it would have anyway.
@@ -288,13 +310,13 @@ fn run_loop_inner(
                     let exact = analysis
                         .ind_usr
                         .as_ref()
-                        .and_then(|u| lip_usr::eval_usr(u, &ctx, 100_000_000));
+                        .and_then(|u| exact_test(env.obs, u, &ctx));
                     if env.obs.trace_enabled() {
-                        dt.exact_test = exact.as_ref().map(|s| s.is_empty());
+                        dt.exact_test = exact;
                     }
                     match exact {
-                        Some(s) if s.is_empty() => (true, ExecOutcome::ExactPredicatePassed),
-                        Some(_) => {
+                        Some(true) => (true, ExecOutcome::ExactPredicatePassed),
+                        Some(false) => {
                             // Genuine dependences: the whole loop can't
                             // run parallel, but a fission plan may
                             // still salvage the independent fragments.
@@ -507,47 +529,55 @@ fn run_fissioned(
         // verdict, mirroring the top-level decision shape.
         let mut frag_stages: Vec<StageReport> = Vec::new();
         let mut frag_exact: Option<bool> = None;
+        let ctx = StoreCtx(frame);
+        // Fragments never speculate: a USR that is not evaluable keeps
+        // the fragment sequential.
+        let exact_independent = || {
+            a.ind_usr
+                .as_ref()
+                .and_then(|u| exact_test(env.obs, u, &ctx))
+                == Some(true)
+        };
         let parallel_ok = match &a.class {
             LoopClass::StaticParallel => true,
             LoopClass::Predicated { .. } => {
-                let ctx = StoreCtx(frame);
-                let (passed, units) = env.cache.pred().first_success_traced(
-                    &a.cascade,
-                    &ctx,
-                    100_000_000,
-                    env.pred,
-                    env.nthreads,
-                    &mut |prog| {
-                        Some(store_fingerprint(
-                            frame,
-                            prog.scalar_syms(),
-                            prog.array_syms(),
-                        ))
-                    },
-                    &mut frag_stages,
-                );
-                test_units += units;
-                if passed.is_some() {
-                    true
+                let mut fp = |prog: &lip_pred::PredProgram| {
+                    Some(store_fingerprint(
+                        frame,
+                        prog.scalar_syms(),
+                        prog.array_syms(),
+                    ))
+                };
+                // Stage reports only feed the traced explain record.
+                let (passed, units) = if env.obs.trace_enabled() {
+                    env.cache.pred().first_success_traced(
+                        &a.cascade,
+                        &ctx,
+                        100_000_000,
+                        env.pred,
+                        env.nthreads,
+                        &mut fp,
+                        &mut frag_stages,
+                    )
                 } else {
-                    let exact = matches!(
-                        a.ind_usr
-                            .as_ref()
-                            .and_then(|u| lip_usr::eval_usr(u, &ctx, 100_000_000)),
-                        Some(s) if s.is_empty()
-                    );
+                    env.cache.pred().first_success(
+                        &a.cascade,
+                        &ctx,
+                        100_000_000,
+                        env.pred,
+                        env.nthreads,
+                        &mut fp,
+                    )
+                };
+                test_units += units;
+                passed.is_some() || {
+                    let exact = exact_independent();
                     frag_exact = Some(exact);
                     exact
                 }
             }
             LoopClass::NeedsFallback(lip_analysis::FallbackKind::HoistUsr) => {
-                let ctx = StoreCtx(frame);
-                let exact = matches!(
-                    a.ind_usr
-                        .as_ref()
-                        .and_then(|u| lip_usr::eval_usr(u, &ctx, 100_000_000)),
-                    Some(s) if s.is_empty()
-                );
+                let exact = exact_independent();
                 frag_exact = Some(exact);
                 exact
             }

@@ -38,7 +38,7 @@ pub mod sim;
 pub use backend::{Backend, OptLevel, PredBackend};
 pub use cache::{store_fingerprint, MachineCache};
 pub use civ::extract_slice;
-pub use exec::{ExecOutcome, ExecPlan, RunStats};
+pub use exec::{exact_test, ExecOutcome, ExecPlan, RunStats, EXACT_TEST_LIMIT};
 pub use inspector::{inspect, inspect_execute, InspectVerdict};
 pub use lrpd::LrpdOutcome;
 pub use merge::{clone_buf, copy_back, identity_buf, merge_into, merge_into_boxed};

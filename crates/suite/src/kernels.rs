@@ -424,9 +424,11 @@ END
 ///     degenerates to "hulls of P and Q don't overlap", which is false
 ///     for arbitrary prepared inputs whose hulls interleave. Runtime
 ///     rescue: the hoisted exact USR evaluation computes the actual
-///     dependence set (empty on these inputs). The fission pass splits
-///     the scan off into a sequential residue and rescues the indirect
-///     fragment through that same exact test.
+///     dependence set (empty on these inputs), in time near-linear in
+///     N: the prefix unions `∪_{k<i}` of its independence equations
+///     are kept as running sets, not rebuilt per iteration. The
+///     fission pass splits the scan off into a sequential residue and
+///     rescues the indirect fragment through that same exact test.
 pub const HOIST_INDIRECT: KernelShape = KernelShape {
     name: "hoist_indirect",
     source: "

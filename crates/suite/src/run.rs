@@ -16,14 +16,6 @@ use lip_symbolic::sym;
 use crate::bench_def::BenchDef;
 use crate::kernels::KernelShape;
 
-/// Rough size of the reference set an exact USR evaluation touches
-/// (drives the HOIST-USR cost model).
-fn all_refs_estimate(u: &lip_usr::Usr, ctx: &dyn lip_symbolic::EvalCtx) -> u64 {
-    lip_usr::eval::eval_usr(u, ctx, 10_000_000)
-        .map(|s| s.len() as u64 * 4)
-        .unwrap_or(0)
-}
-
 /// Measurement of one representative loop.
 #[derive(Clone, Debug)]
 pub struct LoopMeasurement {
@@ -90,6 +82,14 @@ fn fragment_parallel(
     nthreads: usize,
 ) -> (bool, Vec<StageReport>, Option<bool>) {
     let ctx = StoreCtx(frame);
+    // Fragments never speculate: a USR that is not evaluable keeps the
+    // fragment sequential, as in the executor.
+    let exact_independent = || {
+        a.ind_usr
+            .as_ref()
+            .and_then(|u| lip_runtime::exact_test(session.obs(), u, &ctx))
+            == Some(true)
+    };
     match &a.class {
         LoopClass::StaticParallel => (true, Vec::new(), None),
         LoopClass::Predicated { .. } => {
@@ -112,22 +112,12 @@ fn fragment_parallel(
             let exact = if hit.is_some() {
                 None
             } else {
-                Some(matches!(
-                    a.ind_usr
-                        .as_ref()
-                        .and_then(|u| lip_usr::eval_usr(u, &ctx, 100_000_000)),
-                    Some(s) if s.is_empty()
-                ))
+                Some(exact_independent())
             };
             (hit.is_some() || exact == Some(true), stages, exact)
         }
         LoopClass::NeedsFallback(lip_analysis::FallbackKind::HoistUsr) => {
-            let exact = matches!(
-                a.ind_usr
-                    .as_ref()
-                    .and_then(|u| lip_usr::eval_usr(u, &ctx, 100_000_000)),
-                Some(s) if s.is_empty()
-            );
+            let exact = exact_independent();
             (exact, Vec::new(), Some(exact))
         }
         _ => (false, Vec::new(), None),
@@ -272,18 +262,16 @@ pub fn measure_loop(
             let mut passed = hit.is_some();
             if !passed {
                 // The paper's last resort: exact (hoisted) USR
-                // evaluation, then TLS (§5). Cost ≈ the touched
-                // reference count; amortized across invocations when
-                // hoistable (memoized, per §7's apsi discussion).
+                // evaluation, then TLS (§5). The model charges it no
+                // test units: hoisted and memoized, its cost amortizes
+                // across invocations (§7's apsi discussion).
                 if let Some(u) = &analysis.ind_usr {
-                    match lip_usr::eval_usr(u, &ctx, 100_000_000) {
-                        Some(s) if s.is_empty() => {
-                            let refs = all_refs_estimate(u, &ctx);
-                            test_units += refs / 4;
+                    match lip_runtime::exact_test(session.obs(), u, &ctx) {
+                        Some(true) => {
                             exact_test = Some(true);
                             passed = true;
                         }
-                        Some(_) => {
+                        Some(false) => {
                             exact_test = Some(false);
                         }
                         None => {

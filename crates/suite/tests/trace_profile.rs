@@ -184,3 +184,21 @@ fn fissioned_explain_carries_per_fragment_sub_decisions() {
         || rescued_json.get("exact_test") != Some(&Json::Null);
     assert!(decided);
 }
+
+#[test]
+fn exact_test_is_attributed_to_its_own_span() {
+    let session = traced_session(2);
+    run_kernel(&session, &lip_suite::HOIST_INDIRECT, 256);
+    let p = session.profile();
+    let span = |name: &str| {
+        p.flat
+            .iter()
+            .find(|e| e.name == name)
+            .unwrap_or_else(|| panic!("{name} profiled"))
+    };
+    // The rescued fragment's exact test runs inside the loop's span, so
+    // its time is no longer `run.loop` self time.
+    let (exact, outer) = (span("run.exact_test"), span("run.loop"));
+    assert!(exact.count >= 1);
+    assert!(exact.total_ns <= outer.total_ns - outer.self_ns);
+}

@@ -2,13 +2,22 @@
 //! test, and the reference semantics for property tests).
 //!
 //! Evaluation computes the concrete index set denoted by a USR under an
-//! [`EvalCtx`] binding. The cost is proportional to the number of touched
-//! locations — exactly why the paper prefers predicates and reserves USR
-//! evaluation for hoistable cases (§2.2, §5).
+//! [`EvalCtx`] binding — exactly why the paper prefers predicates and
+//! reserves USR evaluation for hoistable cases (§2.2, §5).
+//!
+//! The independence equations place a partial recurrence
+//! `∪_{k=lo}^{i-1} X_k` under a total one `∪_i (X_i ∩ …)`. Rebuilding
+//! that prefix in every iteration `i` would make the test quadratic, so
+//! the evaluator keeps one *running prefix* per partial recurrence whose
+//! body does not depend on an enclosing recurrence variable:
+//! moving `hi` forward evaluates the body only at the new `k`, and an
+//! intersection with the prefix probes it instead of copying it. For those equations the cost is then proportional to the
+//! number of touched locations (times a logarithm for the ordered
+//! sets).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
-use lip_symbolic::{EvalCtx, ScopedCtx};
+use lip_symbolic::{EvalCtx, ScopedCtx, Sym};
 
 use crate::node::{Usr, UsrNode};
 
@@ -17,58 +26,160 @@ use crate::node::{Usr, UsrNode};
 /// `limit` elements (a defence against runaway evaluation, mirroring the
 /// paper's "unacceptably large overhead" concern).
 pub fn eval_usr(u: &Usr, ctx: &dyn EvalCtx, limit: usize) -> Option<BTreeSet<i64>> {
-    match u.node() {
-        UsrNode::Empty => Some(BTreeSet::new()),
-        UsrNode::Leaf(set) => set.enumerate(ctx, limit),
-        UsrNode::Union(a, b) => {
-            let mut x = eval_usr(a, ctx, limit)?;
-            let y = eval_usr(b, ctx, limit)?;
-            x.extend(y);
-            if x.len() > limit {
-                return None;
-            }
-            Some(x)
-        }
-        UsrNode::Intersect(a, b) => {
-            let x = eval_usr(a, ctx, limit)?;
-            let y = eval_usr(b, ctx, limit)?;
-            Some(x.intersection(&y).copied().collect())
-        }
-        UsrNode::Subtract(a, b) => {
-            let x = eval_usr(a, ctx, limit)?;
-            let y = eval_usr(b, ctx, limit)?;
-            Some(x.difference(&y).copied().collect())
-        }
-        UsrNode::Gate(p, body) => {
-            if p.eval(ctx)? {
-                eval_usr(body, ctx, limit)
-            } else {
-                Some(BTreeSet::new())
-            }
-        }
-        UsrNode::Call(_, body) => eval_usr(body, ctx, limit),
-        UsrNode::RecTotal { var, lo, hi, body } | UsrNode::RecPartial { var, lo, hi, body } => {
-            let lo = lo.eval(ctx)?;
-            let hi = hi.eval(ctx)?;
-            let mut out = BTreeSet::new();
-            let mut iv = lo;
-            while iv <= hi {
-                let scoped = ScopedCtx::new(ctx, *var, iv);
-                let s = eval_usr(body, &scoped, limit)?;
-                out.extend(s);
-                if out.len() > limit {
-                    return None;
-                }
-                iv += 1;
-            }
-            Some(out)
-        }
+    Evaluator {
+        limit,
+        bound: Vec::new(),
+        deps: HashMap::new(),
+        prefixes: HashMap::new(),
     }
+    .eval(u, ctx)
 }
 
 /// Convenience: evaluates emptiness (the independence test itself).
 pub fn eval_empty(u: &Usr, ctx: &dyn EvalCtx, limit: usize) -> Option<bool> {
     eval_usr(u, ctx, limit).map(|s| s.is_empty())
+}
+
+/// The running union `∪_{k=lo}^{next-1} body(k)` of one partial
+/// recurrence.
+struct Prefix {
+    lo: i64,
+    next: i64,
+    set: BTreeSet<i64>,
+}
+
+/// One evaluation's state. Any `None` aborts the whole evaluation (no
+/// node recovers from it), so state left behind by an early return is
+/// never read again.
+struct Evaluator {
+    limit: usize,
+    /// Recurrence variables bound on the current evaluation path.
+    bound: Vec<Sym>,
+    /// Per partial recurrence (by [`Usr::id`]): the symbols its body
+    /// mentions, minus its own variable.
+    deps: HashMap<usize, Vec<Sym>>,
+    /// Per partial recurrence (by [`Usr::id`]): its running prefix.
+    prefixes: HashMap<usize, Prefix>,
+}
+
+impl Evaluator {
+    fn eval(&mut self, u: &Usr, ctx: &dyn EvalCtx) -> Option<BTreeSet<i64>> {
+        match u.node() {
+            UsrNode::Empty => Some(BTreeSet::new()),
+            UsrNode::Leaf(set) => set.enumerate(ctx, self.limit),
+            UsrNode::Union(a, b) => {
+                let mut x = self.eval(a, ctx)?;
+                let y = self.eval(b, ctx)?;
+                x.extend(y);
+                if x.len() > self.limit {
+                    return None;
+                }
+                Some(x)
+            }
+            UsrNode::Intersect(a, b) => {
+                // Evaluate the owned side first: the probe must follow
+                // the prefix's advance with no evaluation in between.
+                let (other, prefix) = if self.runs_prefix(b) {
+                    (a, b)
+                } else if self.runs_prefix(a) {
+                    (b, a)
+                } else {
+                    let x = self.eval(a, ctx)?;
+                    let y = self.eval(b, ctx)?;
+                    return Some(x.intersection(&y).copied().collect());
+                };
+                let mut x = self.eval(other, ctx)?;
+                let set = self.advance(prefix, ctx)?;
+                x.retain(|e| set.contains(e));
+                Some(x)
+            }
+            UsrNode::Subtract(a, b) => {
+                let x = self.eval(a, ctx)?;
+                let y = self.eval(b, ctx)?;
+                Some(x.difference(&y).copied().collect())
+            }
+            UsrNode::Gate(p, body) => {
+                if p.eval(ctx)? {
+                    self.eval(body, ctx)
+                } else {
+                    Some(BTreeSet::new())
+                }
+            }
+            UsrNode::Call(_, body) => self.eval(body, ctx),
+            UsrNode::RecPartial { .. } if self.runs_prefix(u) => self.advance(u, ctx).cloned(),
+            UsrNode::RecTotal { var, lo, hi, body } | UsrNode::RecPartial { var, lo, hi, body } => {
+                let lo = lo.eval(ctx)?;
+                let hi = hi.eval(ctx)?;
+                let mut out = BTreeSet::new();
+                for iv in lo..=hi {
+                    out.extend(self.eval_at(*var, iv, body, ctx)?);
+                    if out.len() > self.limit {
+                        return None;
+                    }
+                }
+                Some(out)
+            }
+        }
+    }
+
+    /// `body` with the recurrence variable `var` bound to `iv`.
+    fn eval_at(
+        &mut self,
+        var: Sym,
+        iv: i64,
+        body: &Usr,
+        ctx: &dyn EvalCtx,
+    ) -> Option<BTreeSet<i64>> {
+        self.bound.push(var);
+        let s = self.eval(body, &ScopedCtx::new(ctx, var, iv));
+        self.bound.pop();
+        s
+    }
+
+    /// Whether `u` is a partial recurrence whose body mentions no
+    /// recurrence variable bound on the current path, so one running
+    /// prefix serves every enclosing iteration. (A `lo` that moves just
+    /// restarts the prefix.)
+    fn runs_prefix(&mut self, u: &Usr) -> bool {
+        let UsrNode::RecPartial { var, body, .. } = u.node() else {
+            return false;
+        };
+        let deps = self.deps.entry(u.id()).or_insert_with(|| {
+            let mut syms = body.free_syms();
+            syms.remove(var);
+            syms.into_iter().collect()
+        });
+        !deps.iter().any(|s| self.bound.contains(s))
+    }
+
+    /// Moves the running prefix of the partial recurrence `u` to the
+    /// current `hi` (restarting it when `lo` changed or `hi` went
+    /// backwards) and returns it.
+    fn advance(&mut self, u: &Usr, ctx: &dyn EvalCtx) -> Option<&BTreeSet<i64>> {
+        let UsrNode::RecPartial { var, lo, hi, body } = u.node() else {
+            unreachable!("only partial recurrences keep a running prefix")
+        };
+        let lo = lo.eval(ctx)?;
+        let hi = hi.eval(ctx)?;
+        let mut prefix = match self.prefixes.remove(&u.id()) {
+            Some(p) if p.lo == lo && p.next <= hi.saturating_add(1) => p,
+            _ => Prefix {
+                lo,
+                next: lo,
+                set: BTreeSet::new(),
+            },
+        };
+        while prefix.next <= hi {
+            prefix
+                .set
+                .extend(self.eval_at(*var, prefix.next, body, ctx)?);
+            if prefix.set.len() > self.limit {
+                return None;
+            }
+            prefix.next += 1;
+        }
+        Some(&self.prefixes.entry(u.id()).or_insert(prefix).set)
+    }
 }
 
 #[cfg(test)]
